@@ -341,6 +341,44 @@ func BenchmarkWaitQueueAdmission(b *testing.B) {
 	}
 }
 
+// BenchmarkWaitQueueRetry measures one utilization release over a hold
+// queue of 64 tasks that admits none of them. In "scan" the held tasks
+// alternate stage-0-heavy and stage-1-heavy shapes, so the per-stage
+// demand floors are zero and every release re-tests all 64; in "skip"
+// they share one shape and the release lower bound rules the scan out.
+// Each iteration tightens the region bound and relaxes it again; the
+// relaxation is the release.
+func BenchmarkWaitQueueRetry(b *testing.B) {
+	for _, mixed := range []bool{true, false} {
+		name := "skip"
+		if mixed {
+			name = "scan"
+		}
+		b.Run(name, func(b *testing.B) {
+			sim := des.New()
+			c := core.NewController(sim, core.NewRegion(2), nil)
+			w := core.NewWaitQueue(sim, c, 1e9, func(*task.Task) { b.Fatal("a held task was admitted") })
+			c.TryAdmit(task.Chain(1, 0, 1e9, 3e8, 3e8)) // U = (0.3, 0.3)
+			for i := 0; i < 64; i++ {
+				d := []float64{5e8, 5e8}
+				if mixed {
+					d[i%2] = 0
+				}
+				w.Submit(task.Chain(task.ID(100+i), 0, 1e9, d...))
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				c.SetRegionInputs(0.99, nil)
+				c.SetRegionInputs(1, nil)
+			}
+			if w.PendingLen() != 64 {
+				b.Fatalf("%d tasks held, want 64", w.PendingLen())
+			}
+		})
+	}
+}
+
 // BenchmarkSheddingDecision measures an admission that must plan and
 // execute shedding of lower-importance work.
 func BenchmarkSheddingDecision(b *testing.B) {

@@ -48,9 +48,9 @@ var Policies = []Policy{RoundRobin, HeadroomGreedy, PowerOfTwo}
 
 // RouterStats counts routing outcomes.
 type RouterStats struct {
-	// Placed counts requests admitted by the replica the policy chose
-	// first; Rollbacks counts requests that were admitted only by the
-	// second choice after the first's admit raced to a reject.
+	// Placed counts every placed request, whichever candidate admitted
+	// it. Rollbacks is the subset of Placed admitted only by the second
+	// choice after the first's admit raced to a reject.
 	Placed    uint64
 	Rollbacks uint64
 	// Rejected counts requests no candidate replica would admit.

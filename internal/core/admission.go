@@ -58,6 +58,10 @@ type Controller struct {
 	scales   []float64       // per-stage demand multipliers; nil until first SetStageScale
 	scratch  []float64       // reusable deltas buffer; the controller is single-threaded (DES)
 	levels   map[task.ID]int // quality level of admitted tasks below full quality
+	// exact is true while the estimator is ActualDemand, the only one
+	// the wait queue's release lower bound may assume (noneAdmissible).
+	exact    bool
+	expiries []*expiry // recycled deadline-decrement timers
 
 	onRelease []func(now des.Time)
 	onChange  func(stage int, now des.Time, u float64)
@@ -96,6 +100,7 @@ func NewController(sim *des.Simulator, region Region, reserved []float64) *Contr
 		region:   region,
 		ledgers:  ledgers,
 		estimate: ActualDemand,
+		exact:    true,
 		levels:   make(map[task.ID]int),
 	}
 }
@@ -107,6 +112,7 @@ func (c *Controller) SetEstimator(e Estimator) {
 		panic("core: nil estimator")
 	}
 	c.estimate = e
+	c.exact = false
 }
 
 // SetMetrics registers the controller's observability instruments with
@@ -330,6 +336,46 @@ func (c *Controller) admissible(d []float64) bool {
 	return sum <= c.region.Bound()
 }
 
+// skipMargin is the relative margin by which the lower-bound region value
+// must exceed the bound before noneAdmissible rules a scan out. It covers
+// the rounding of f and of the N-term sum (a few ulps per stage; see
+// THEORY.md §10), so the skip never hides an admission the scan would
+// have made.
+const skipMargin = 1e-9
+
+// noneAdmissible implements the wait queue's release lower bound. Every
+// held task re-tests with Deadline = slack ≤ latest − now and, under
+// ActualDemand, estimate ≥ floor[j] at each stage, so its increment
+// vector is component-wise at least scale_j·floor[j]/(latest − now) —
+// computed here with the same operations in the same order as deltas,
+// which makes the inequality hold exactly in floating point. f is
+// increasing, so when even that vector leaves the region by more than
+// skipMargin, every re-test would fail and the scan can be skipped.
+// Custom estimators (approximate admission, the adapt loop's inflation)
+// may change between hold and retry, so they always scan.
+func (c *Controller) noneAdmissible(floor []float64, latest des.Time) bool {
+	if !c.exact {
+		return false
+	}
+	window := latest - c.sim.Now()
+	if window <= 0 {
+		return true // no held task has positive slack left
+	}
+	sum := 0.0
+	for j, l := range c.ledgers {
+		if floor[j] < 0 {
+			return false // a negative demand breaks the monotone bound
+		}
+		d := floor[j] / window
+		if c.scales != nil {
+			d *= c.scales[j]
+		}
+		sum += StageDelayFactor(l.Utilization() + d)
+	}
+	bound := c.region.Bound()
+	return sum > bound+skipMargin*math.Abs(bound)
+}
+
 // WouldAdmit evaluates the admission test without committing: it reports
 // whether the post-admission utilization point stays inside the region.
 func (c *Controller) WouldAdmit(t *task.Task) bool {
@@ -380,18 +426,39 @@ func (c *Controller) commit(t *task.Task, d []float64) {
 	for j, l := range c.ledgers {
 		l.Add(t.ID, d[j])
 	}
-	id := t.ID
-	c.sim.At(t.AbsoluteDeadline(), func() {
-		for _, l := range c.ledgers {
-			l.Remove(id)
-		}
-		delete(c.levels, id)
-		c.notifyChange()
-		c.fireRelease()
-	})
+	var e *expiry
+	if n := len(c.expiries); n > 0 {
+		e = c.expiries[n-1]
+		c.expiries = c.expiries[:n-1]
+	} else {
+		e = &expiry{c: c}
+	}
+	e.id = t.ID
+	c.sim.AtTimer(t.AbsoluteDeadline(), e)
 	c.stats.Admitted++
 	c.metAdmitted.Inc()
 	c.notifyChange()
+}
+
+// expiry is the pooled des.Timer for an admitted task's deadline
+// decrement: it removes the task's contributions at its absolute
+// deadline and fires the release hooks.
+type expiry struct {
+	c  *Controller
+	id task.ID
+}
+
+// Fire performs the deadline decrement.
+func (e *expiry) Fire(des.Time) {
+	c, id := e.c, e.id
+	// Recycle first: the release hooks may admit and reuse the record.
+	c.expiries = append(c.expiries, e)
+	for _, l := range c.ledgers {
+		l.Remove(id)
+	}
+	delete(c.levels, id)
+	c.notifyChange()
+	c.fireRelease()
 }
 
 // EstimateFor returns the demand estimate the admission test would use

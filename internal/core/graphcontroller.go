@@ -148,6 +148,10 @@ func (c *GraphController) wouldAdmitDeltas(t *task.Task, d []float64) bool {
 	return true
 }
 
+// noneAdmissible implements regionAdmitter: the Theorem 2 test has no
+// release lower bound here, so the wait queue always scans.
+func (c *GraphController) noneAdmissible([]float64, des.Time) bool { return false }
+
 // commitAdmit commits a task WouldAdmit accepted (regionAdmitter).
 func (c *GraphController) commitAdmit(t *task.Task) {
 	if d := c.deltas(t); d != nil {

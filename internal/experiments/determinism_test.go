@@ -110,3 +110,52 @@ func TestClusterGoldenUnchanged(t *testing.T) {
 		t.Errorf("-run cluster output changed on the current event core:\ngot:\n%s\nwant:\n%s", got, goldenCluster)
 	}
 }
+
+// goldenTable1Config is the reduced-scale Table 1 sweep pinned by
+// TestTable1GoldenUnchanged: with and without the idle reset, up to 650
+// tracks, where most Target Tracking tasks wait in the 200 ms hold and
+// are re-tested on every utilization release.
+func goldenTable1Config(disableIdleReset bool) Table1Config {
+	cfg := DefaultTable1()
+	cfg.Tracks = []int{200, 550, 600, 650}
+	cfg.Horizon, cfg.Warmup = 10, 2
+	cfg.DisableIdleReset = disableIdleReset
+	return cfg
+}
+
+// formatTable1 renders every point of both sweeps bit-exactly.
+func formatTable1() string {
+	var b strings.Builder
+	for _, noReset := range []bool{false, true} {
+		res := Table1TrackCapacity(goldenTable1Config(noReset))
+		for _, p := range res.Points {
+			fmt.Fprintf(&b, "reset=%v tracks=%d util=%v timedout=%d offered=%d missed=%d completed=%d reject=%v\n",
+				!noReset, p.Tracks, p.Stage1Util, p.TimedOut, p.Offered, p.Missed, p.Completed, p.RejectRatio)
+		}
+		fmt.Fprintf(&b, "reset=%v capacity=%d util=%v\n", !noReset, res.Capacity, res.CapacityStageUtil)
+	}
+	return b.String()
+}
+
+// Captured before wait-queue releases re-tested through a scratch task
+// and skipped scans by a lower bound; the hold queue must reproduce every
+// decision bit-for-bit.
+const goldenTable1 = `reset=true tracks=200 util=0.6000000000000021 timedout=0 offered=1608 missed=0 completed=1800 reject=0
+reset=true tracks=550 util=0.9500000000000024 timedout=0 offered=4408 missed=0 completed=4600 reject=0
+reset=true tracks=600 util=0.9999999999999829 timedout=2 offered=4808 missed=0 completed=4997 reject=0.0003332222592469177
+reset=true tracks=650 util=1 timedout=448 offered=5208 missed=0 completed=4994 reject=0.06930693069306931
+reset=true capacity=550 util=0.9500000000000024
+reset=false tracks=200 util=0.43437500000000284 timedout=1638 offered=1608 missed=0 completed=467 reject=0.8285280728376327
+reset=false tracks=550 util=0.434750000000002 timedout=5055 offered=4408 missed=0 completed=470 reject=0.9368050407709414
+reset=false tracks=600 util=0.4346250000000021 timedout=5549 offered=4808 missed=0 completed=469 reject=0.9422652402784853
+reset=false tracks=650 util=0.43487500000000173 timedout=6036 offered=5208 missed=0 completed=471 reject=0.9463781749764817
+reset=false capacity=0 util=0
+`
+
+// TestTable1GoldenUnchanged asserts the Table 1 track-capacity sweep —
+// the wait queue's heaviest user — reproduces the pinned numbers.
+func TestTable1GoldenUnchanged(t *testing.T) {
+	if got := formatTable1(); got != goldenTable1 {
+		t.Errorf("Table 1 sweep changed:\ngot:\n%s\nwant:\n%s", got, goldenTable1)
+	}
+}

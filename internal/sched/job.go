@@ -17,6 +17,7 @@ type Job struct {
 	seq       uint64  // submission order, used as a deterministic tie-break
 
 	segments     []task.Segment
+	whole        [1]task.Segment // backs segments when the subtask has none of its own
 	segIdx       int
 	segRemaining float64
 	acquired     bool // current segment's lock already held

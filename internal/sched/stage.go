@@ -260,11 +260,33 @@ func (s *Stage) SubmitBudgeted(id task.ID, priority float64, sub task.Subtask, b
 	if math.IsNaN(budget) || budget < 0 {
 		panic(fmt.Sprintf("sched: stage %q: invalid budget %v for task %d", s.name, budget, id))
 	}
-	segs := sub.SegmentsOrWhole()
+	j := &Job{
+		TaskID:     id,
+		base:       priority,
+		inherited:  math.Inf(1),
+		seq:        s.seq,
+		budget:     budget,
+		submitted:  s.sim.Now(),
+		onComplete: onComplete,
+		heapIdx:    -1,
+	}
+	// A subtask without explicit segments runs as one non-critical
+	// segment held inline in the job, so the common case allocates no
+	// segment slice. The job owns that copy, so the exec model may
+	// transform it in place; explicit segments alias the task's own
+	// slice, which other stages and retries still read, so they are
+	// transformed into a fresh copy.
+	segs := sub.Segments
+	owned := len(segs) == 0
+	if owned {
+		j.whole[0] = task.Segment{Duration: sub.Demand, Lock: task.NoLock}
+		segs = j.whole[:]
+	}
 	if s.execModel != nil {
-		// Transform a copy: SegmentsOrWhole may alias the task's own
-		// segment slice, which other stages and retries still read.
-		actual := make([]task.Segment, len(segs))
+		actual := segs
+		if !owned {
+			actual = make([]task.Segment, len(segs))
+		}
 		for i, seg := range segs {
 			d := s.execModel(id, seg.Duration)
 			if d < 0 || math.IsNaN(d) || math.IsInf(d, 0) {
@@ -274,17 +296,7 @@ func (s *Stage) SubmitBudgeted(id task.ID, priority float64, sub task.Subtask, b
 		}
 		segs = actual
 	}
-	j := &Job{
-		TaskID:     id,
-		base:       priority,
-		inherited:  math.Inf(1),
-		seq:        s.seq,
-		segments:   segs,
-		budget:     budget,
-		submitted:  s.sim.Now(),
-		onComplete: onComplete,
-		heapIdx:    -1,
-	}
+	j.segments = segs
 	j.doneT = segmentDone{s: s, j: j}
 	j.watchT = watchdog{s: s, j: j}
 	s.seq++

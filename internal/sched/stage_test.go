@@ -35,6 +35,38 @@ func TestSingleJobRunsToCompletion(t *testing.T) {
 	}
 }
 
+// TestSubmitSegmentsOrWhole: a subtask without explicit segments runs as
+// one non-critical segment covering its whole demand, held inside the
+// job; explicit segments run as given. The exec model transforms the
+// job's own inline segment in place but never the task's segment slice,
+// which other stages and retries still read.
+func TestSubmitSegmentsOrWhole(t *testing.T) {
+	for _, model := range []bool{false, true} {
+		sim := des.New()
+		st := New(sim, "s0")
+		st.RegisterLock(3, 0)
+		scale := 1.0
+		if model {
+			scale = 2
+			st.SetExecModel(func(_ task.ID, d float64) float64 { return 2 * d })
+		}
+		whole := st.Submit(1, 1, task.NewSubtask(1.5), nil)
+		if len(whole.segments) != 1 || &whole.segments[0] != &whole.whole[0] ||
+			whole.segments[0] != (task.Segment{Duration: 1.5 * scale, Lock: task.NoLock}) {
+			t.Fatalf("model=%v: whole-subtask segments %+v, want one inline {%v NoLock}", model, whole.segments, 1.5*scale)
+		}
+		sub := task.Subtask{Demand: 1.5, Segments: []task.Segment{{Duration: 1, Lock: 3}, {Duration: 0.5, Lock: task.NoLock}}}
+		explicit := st.Submit(2, 2, sub, nil)
+		if len(explicit.segments) != 2 || explicit.segments[0].Duration != scale || explicit.segments[1].Duration != 0.5*scale {
+			t.Fatalf("model=%v: explicit segments %+v", model, explicit.segments)
+		}
+		if sub.Segments[0].Duration != 1 || sub.Segments[1].Duration != 0.5 {
+			t.Fatalf("model=%v: exec model rewrote the task's own segments: %+v", model, sub.Segments)
+		}
+		sim.Run()
+	}
+}
+
 func TestPriorityOrderAmongQueued(t *testing.T) {
 	sim := des.New()
 	st := New(sim, "s0")

@@ -60,15 +60,6 @@ func NewSubtask(demand float64) Subtask {
 	return Subtask{Demand: demand}
 }
 
-// SegmentsOrWhole returns the explicit segment list, or a synthetic
-// single non-critical segment covering the whole demand.
-func (s Subtask) SegmentsOrWhole() []Segment {
-	if len(s.Segments) > 0 {
-		return s.Segments
-	}
-	return []Segment{{Duration: s.Demand, Lock: NoLock}}
-}
-
 // Mandatory returns M_ij = Demand - Optional, the part of the subtask
 // that quality degradation can never trim.
 func (s Subtask) Mandatory() float64 { return s.Demand - s.Optional }

@@ -82,18 +82,6 @@ func TestValidateAcceptsSegmentedSubtask(t *testing.T) {
 	}
 }
 
-func TestSegmentsOrWhole(t *testing.T) {
-	s := NewSubtask(1.5)
-	segs := s.SegmentsOrWhole()
-	if len(segs) != 1 || segs[0].Duration != 1.5 || segs[0].Lock != NoLock {
-		t.Fatalf("SegmentsOrWhole = %+v", segs)
-	}
-	s.Segments = []Segment{{Duration: 1, Lock: 3}, {Duration: 0.5, Lock: NoLock}}
-	if got := s.SegmentsOrWhole(); len(got) != 2 {
-		t.Fatalf("explicit segments not returned: %+v", got)
-	}
-}
-
 func TestGraphTopoOrder(t *testing.T) {
 	// Figure 3: 1 -> {2, 3} -> 4.
 	g := NewGraph()
